@@ -31,7 +31,6 @@
 
 #include "bench/common.h"
 #include "obs/attach.h"
-#include "storage/cached_device.h"
 #include "storage/device.h"
 #include "storage/extent_allocator.h"
 #include "storage/metered_device.h"
@@ -79,14 +78,15 @@ class SimulatedLatencyDevice : public Device {
   Device* inner_;
 };
 
-/// The pre-sharding baseline: one LRU cache, one mutex, every reader
-/// serialized — including cache hits, and including the simulated disk wait
-/// of whoever is missing.
+/// The pre-sharding baseline: one LRU cache (a one-shard
+/// ShardedCachedDevice) behind one mutex held across each whole read, so
+/// every reader is serialized — including cache hits, and including the
+/// simulated disk wait of whoever is missing.
 class GlobalMutexCachedDevice : public Device {
  public:
   GlobalMutexCachedDevice(Device* inner, size_t capacity_blocks,
                           uint64_t block_size)
-      : cache_(inner, capacity_blocks, block_size) {}
+      : cache_(inner, capacity_blocks, block_size, /*num_shards=*/1) {}
 
   Status Read(uint64_t offset, std::span<std::byte> out) override {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -100,7 +100,7 @@ class GlobalMutexCachedDevice : public Device {
 
  private:
   std::mutex mutex_;
-  CachedDevice cache_;
+  ShardedCachedDevice cache_;
 };
 
 DayBatch MakeZipfBatch(Day day) {

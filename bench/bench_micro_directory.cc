@@ -1,20 +1,12 @@
-// Micro-benchmarks of the two directory implementations (hash vs B+Tree).
+// Micro-benchmarks of the in-memory hash directory.
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
-#include "index/btree_directory.h"
-#include "index/hash_directory.h"
+#include "index/directory.h"
 #include "util/random.h"
 
 namespace wavekit {
 namespace {
-
-std::unique_ptr<Directory> MakeDir(int kind) {
-  return MakeDirectory(kind == 0 ? DirectoryKind::kHash
-                                 : DirectoryKind::kBTree);
-}
 
 std::vector<Value> Keys(size_t count) {
   std::vector<Value> keys;
@@ -26,52 +18,45 @@ std::vector<Value> Keys(size_t count) {
 }
 
 void BM_DirectoryInsert(benchmark::State& state) {
-  const std::vector<Value> keys = Keys(static_cast<size_t>(state.range(1)));
+  const std::vector<Value> keys = Keys(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    std::unique_ptr<Directory> dir = MakeDir(static_cast<int>(state.range(0)));
+    Directory dir;
     for (const Value& key : keys) {
-      dir->Insert(key, BucketInfo{}).Abort("insert");
+      dir.Insert(key, BucketInfo{}).Abort("insert");
     }
-    benchmark::DoNotOptimize(dir->size());
+    benchmark::DoNotOptimize(dir.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(keys.size()) *
                           state.iterations());
-  state.SetLabel(state.range(0) == 0 ? "hash" : "btree");
 }
-BENCHMARK(BM_DirectoryInsert)
-    ->Args({0, 1000})
-    ->Args({1, 1000})
-    ->Args({0, 50000})
-    ->Args({1, 50000});
+BENCHMARK(BM_DirectoryInsert)->Arg(1000)->Arg(50000);
 
 void BM_DirectoryFind(benchmark::State& state) {
   const std::vector<Value> keys = Keys(20000);
-  std::unique_ptr<Directory> dir = MakeDir(static_cast<int>(state.range(0)));
-  for (const Value& key : keys) dir->Insert(key, BucketInfo{}).Abort("insert");
+  Directory dir;
+  for (const Value& key : keys) dir.Insert(key, BucketInfo{}).Abort("insert");
   Rng rng(3);
   for (auto _ : state) {
     const Value& key = keys[rng.Uniform(keys.size())];
-    benchmark::DoNotOptimize(dir->Find(key));
+    benchmark::DoNotOptimize(dir.Find(key));
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(state.range(0) == 0 ? "hash" : "btree");
 }
-BENCHMARK(BM_DirectoryFind)->Arg(0)->Arg(1);
+BENCHMARK(BM_DirectoryFind);
 
 void BM_DirectoryIterate(benchmark::State& state) {
   const std::vector<Value> keys = Keys(20000);
-  std::unique_ptr<Directory> dir = MakeDir(static_cast<int>(state.range(0)));
-  for (const Value& key : keys) dir->Insert(key, BucketInfo{}).Abort("insert");
+  Directory dir;
+  for (const Value& key : keys) dir.Insert(key, BucketInfo{}).Abort("insert");
   for (auto _ : state) {
     size_t visited = 0;
-    dir->ForEach([&visited](const Value&, const BucketInfo&) { ++visited; });
+    dir.ForEach([&visited](const Value&, const BucketInfo&) { ++visited; });
     benchmark::DoNotOptimize(visited);
   }
   state.SetItemsProcessed(static_cast<int64_t>(keys.size()) *
                           state.iterations());
-  state.SetLabel(state.range(0) == 0 ? "hash" : "btree(ordered)");
 }
-BENCHMARK(BM_DirectoryIterate)->Arg(0)->Arg(1);
+BENCHMARK(BM_DirectoryIterate);
 
 }  // namespace
 }  // namespace wavekit

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "index/index_builder.h"
-#include "storage/cached_device.h"
+#include "storage/sharded_cached_device.h"
 #include "storage/store.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -65,10 +65,11 @@ void BM_CheckpointDeserialize(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointDeserialize)->Arg(2)->Arg(7)->Arg(30);
 
-void BM_CachedDeviceRead(benchmark::State& state) {
+void BM_CacheRead(benchmark::State& state) {
   const bool hot = state.range(0) != 0;
   MemoryDevice memory(uint64_t{1} << 24);
-  CachedDevice cached(&memory, /*capacity_blocks=*/256);
+  ShardedCachedDevice cached(&memory, /*capacity_blocks=*/256,
+                             /*block_size=*/4096, /*num_shards=*/1);
   std::vector<std::byte> buf(4096, std::byte{1});
   for (uint64_t i = 0; i < 1024; ++i) {
     memory.Write(i * 4096, buf).Abort("fill");
@@ -84,7 +85,7 @@ void BM_CachedDeviceRead(benchmark::State& state) {
   state.SetBytesProcessed(4096 * state.iterations());
   state.SetLabel(hot ? "hot(cached)" : "cold(thrashing)");
 }
-BENCHMARK(BM_CachedDeviceRead)->Arg(1)->Arg(0);
+BENCHMARK(BM_CacheRead)->Arg(1)->Arg(0);
 
 void BM_AllocatorChurn(benchmark::State& state) {
   ExtentAllocator allocator(uint64_t{1} << 26);

@@ -17,8 +17,7 @@ ConstituentIndex::ConstituentIndex(Device* device, ExtentAllocator* allocator,
     : device_(device),
       allocator_(allocator),
       options_(options),
-      name_(std::move(name)),
-      directory_(MakeDirectory(options.directory)) {}
+      name_(std::move(name)) {}
 
 ConstituentIndex::~ConstituentIndex() {
   Status status = Destroy();
@@ -149,7 +148,7 @@ Status ConstituentIndex::Probe(const Value& value,
 
 Status ConstituentIndex::TimedProbe(const Value& value, const DayRange& range,
                                     std::vector<Entry>* out) const {
-  const BucketInfo* info = directory_->Find(value);
+  const BucketInfo* info = directory_.Find(value);
   if (info == nullptr) return Status::OK();
   if (range.Covers(time_set_)) {
     // All entries qualify; no per-entry timestamp check needed.
@@ -293,7 +292,7 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
   };
 
   for (const Value& value : layout_order_) {
-    const BucketInfo* info = directory_->Find(value);
+    const BucketInfo* info = directory_.Find(value);
     if (info == nullptr) {
       return Status::Internal("layout order lists unknown value '" + value +
                               "' in index " + name_);
@@ -319,7 +318,7 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
 Status ConstituentIndex::ForEachBucket(
     const std::function<void(const Value&, const BucketInfo&)>& fn) const {
   for (const Value& value : layout_order_) {
-    const BucketInfo* info = directory_->Find(value);
+    const BucketInfo* info = directory_.Find(value);
     if (info == nullptr) {
       return Status::Internal("layout order lists unknown value '" + value +
                               "' in index " + name_);
@@ -334,14 +333,14 @@ Status ConstituentIndex::AppendEntries(const Value& value,
   if (entries.empty()) return Status::OK();
   const auto* entry_bytes = reinterpret_cast<const std::byte*>(entries.data());
   const size_t entry_byte_count = entries.size() * kEntrySize;
-  BucketInfo* info = directory_->Find(value);
+  BucketInfo* info = directory_.Find(value);
   if (info == nullptr) {
     const uint32_t capacity =
         options_.growth.InitialCapacity(static_cast<uint32_t>(entries.size()));
     WAVEKIT_ASSIGN_OR_RETURN(Extent extent,
                              allocator_->Allocate(capacity * kEntrySize));
     WAVEKIT_RETURN_NOT_OK(WriteEntriesAt(extent.offset, entries));
-    WAVEKIT_RETURN_NOT_OK(directory_->Insert(
+    WAVEKIT_RETURN_NOT_OK(directory_.Insert(
         value, BucketInfo{extent, static_cast<uint32_t>(entries.size()),
                           capacity, Crc32c(entry_bytes, entry_byte_count)}));
     layout_order_.push_back(value);
@@ -405,7 +404,7 @@ Status ConstituentIndex::DeleteDays(const TimeSet& days) {
   std::vector<Entry> bucket;
   std::vector<Entry> kept;
   for (const Value& value : values) {
-    BucketInfo* info = directory_->Find(value);
+    BucketInfo* info = directory_.Find(value);
     if (info == nullptr) {
       return Status::Internal("layout order lists unknown value '" + value +
                               "' in index " + name_);
@@ -452,13 +451,13 @@ Status ConstituentIndex::DeleteDays(const TimeSet& days) {
 }
 
 Status ConstituentIndex::RemoveValue(const Value& value) {
-  BucketInfo* info = directory_->Find(value);
+  BucketInfo* info = directory_.Find(value);
   if (info == nullptr) {
     return Status::NotFound("no value '" + value + "' in index " + name_);
   }
   WAVEKIT_RETURN_NOT_OK(allocator_->Free(info->extent));
   allocated_bytes_ -= info->extent.length;
-  WAVEKIT_RETURN_NOT_OK(directory_->Remove(value));
+  WAVEKIT_RETURN_NOT_OK(directory_.Remove(value));
   layout_order_.erase(
       std::find(layout_order_.begin(), layout_order_.end(), value));
   return Status::OK();
@@ -495,7 +494,7 @@ Status ConstituentIndex::InstallBucket(const Value& value,
           "compressed bucket is not smaller than raw");
     }
   }
-  WAVEKIT_RETURN_NOT_OK(directory_->Insert(value, info));
+  WAVEKIT_RETURN_NOT_OK(directory_.Insert(value, info));
   layout_order_.push_back(value);
   allocated_bytes_ += info.extent.length;
   entry_count_ += info.count;
@@ -522,7 +521,7 @@ Result<std::unique_ptr<ConstituentIndex>> ConstituentIndex::CloneTo(
   uint64_t cursor = region.offset;
   std::vector<std::byte> buffer;
   for (const Value& value : layout_order_) {
-    const BucketInfo* info = directory_->Find(value);
+    const BucketInfo* info = directory_.Find(value);
     if (info == nullptr) {
       WAVEKIT_RETURN_NOT_OK(allocator->Free(region));
       return Status::Internal("layout order lists unknown value '" + value +
@@ -575,7 +574,7 @@ Result<std::unique_ptr<ConstituentIndex>> ConstituentIndex::CloneToParallel(
   plan.reserve(layout_order_.size());
   uint64_t running = 0;
   for (const Value& value : layout_order_) {
-    const BucketInfo* info = directory_->Find(value);
+    const BucketInfo* info = directory_.Find(value);
     if (info == nullptr) {
       return Status::Internal("layout order lists unknown value '" + value +
                               "' in index " + name_);
@@ -666,12 +665,12 @@ Result<std::unique_ptr<ConstituentIndex>> ConstituentIndex::CloneToParallel(
 
 Status ConstituentIndex::Destroy() {
   Status first_error;
-  directory_->ForEach([&](const Value&, const BucketInfo& info) {
+  directory_.ForEach([&](const Value&, const BucketInfo& info) {
     Status s = allocator_->Free(info.extent);
     if (!s.ok() && first_error.ok()) first_error = s;
   });
   WAVEKIT_RETURN_NOT_OK(first_error);
-  directory_ = MakeDirectory(options_.directory);
+  directory_ = Directory{};
   layout_order_.clear();
   time_set_.clear();
   entry_count_ = 0;
@@ -682,7 +681,7 @@ Status ConstituentIndex::Destroy() {
 
 ConstituentIndex::CodecBreakdown ConstituentIndex::CodecStats() const {
   CodecBreakdown breakdown;
-  directory_->ForEach([&](const Value&, const BucketInfo& info) {
+  directory_.ForEach([&](const Value&, const BucketInfo& info) {
     breakdown.buckets[static_cast<size_t>(info.codec)] += 1;
     breakdown.stored_bytes += info.stored_length();
     breakdown.uncompressed_bytes += uint64_t{info.count} * kEntrySize;
@@ -694,7 +693,7 @@ Status ConstituentIndex::CheckPacked() const {
   uint64_t expected_offset = 0;
   bool first = true;
   for (const Value& value : layout_order_) {
-    const BucketInfo* info = directory_->Find(value);
+    const BucketInfo* info = directory_.Find(value);
     if (info == nullptr) return Status::Internal("layout/directory mismatch");
     if (info->count != info->capacity) {
       return Status::Internal("bucket for '" + value +
@@ -711,13 +710,13 @@ Status ConstituentIndex::CheckPacked() const {
 }
 
 Status ConstituentIndex::CheckConsistency() const {
-  if (layout_order_.size() != directory_->size()) {
+  if (layout_order_.size() != directory_.size()) {
     return Status::Internal("layout order size != directory size");
   }
   uint64_t entries = 0;
   uint64_t bytes = 0;
   for (const Value& value : layout_order_) {
-    const BucketInfo* info = directory_->Find(value);
+    const BucketInfo* info = directory_.Find(value);
     if (info == nullptr) return Status::Internal("layout/directory mismatch");
     if (info->count > info->capacity) {
       return Status::Internal("bucket count exceeds capacity");

@@ -55,7 +55,6 @@ struct IntegrityStats {
 class ConstituentIndex {
  public:
   struct Options {
-    DirectoryKind directory = DirectoryKind::kHash;
     GrowthPolicy growth;
     /// When true (the default), every read path recomputes each bucket's
     /// CRC-32C over the bytes the device returned and compares it to the
@@ -132,7 +131,7 @@ class ConstituentIndex {
   uint64_t entry_count() const { return entry_count_; }
 
   /// Number of distinct values.
-  size_t distinct_values() const { return directory_->size(); }
+  size_t distinct_values() const { return directory_.size(); }
 
   const Options& options() const { return options_; }
   Device* device() const { return device_; }
@@ -278,7 +277,7 @@ class ConstituentIndex {
   ExtentAllocator* allocator_;
   Options options_;
   std::string name_;
-  std::unique_ptr<Directory> directory_;
+  Directory directory_;
   std::vector<Value> layout_order_;
   TimeSet time_set_;
   /// Mutable: corruption is detected (and must quarantine) on const reads.

@@ -1,28 +1,18 @@
-#include "index/hash_directory.h"
+#include "index/directory.h"
 
 namespace wavekit {
 
-const char* DirectoryKindName(DirectoryKind kind) {
-  switch (kind) {
-    case DirectoryKind::kHash:
-      return "hash";
-    case DirectoryKind::kBTree:
-      return "btree";
-  }
-  return "?";
-}
-
-BucketInfo* HashDirectory::Find(const Value& value) {
+BucketInfo* Directory::Find(const Value& value) {
   auto it = map_.find(value);
   return it == map_.end() ? nullptr : &it->second;
 }
 
-const BucketInfo* HashDirectory::Find(const Value& value) const {
+const BucketInfo* Directory::Find(const Value& value) const {
   auto it = map_.find(value);
   return it == map_.end() ? nullptr : &it->second;
 }
 
-Status HashDirectory::Insert(const Value& value, const BucketInfo& info) {
+Status Directory::Insert(const Value& value, const BucketInfo& info) {
   auto [it, inserted] = map_.emplace(value, info);
   (void)it;
   if (!inserted) {
@@ -31,20 +21,16 @@ Status HashDirectory::Insert(const Value& value, const BucketInfo& info) {
   return Status::OK();
 }
 
-Status HashDirectory::Remove(const Value& value) {
+Status Directory::Remove(const Value& value) {
   if (map_.erase(value) == 0) {
     return Status::NotFound("directory has no value '" + value + "'");
   }
   return Status::OK();
 }
 
-void HashDirectory::ForEach(
+void Directory::ForEach(
     const std::function<void(const Value&, const BucketInfo&)>& fn) const {
   for (const auto& [value, info] : map_) fn(value, info);
-}
-
-std::unique_ptr<Directory> HashDirectory::CloneEmpty() const {
-  return std::make_unique<HashDirectory>();
 }
 
 }  // namespace wavekit

@@ -1,9 +1,9 @@
 // Directory: the in-memory search structure mapping values to buckets.
 //
 // The paper assumes "the directory is in memory, and the buckets are on
-// disk" and allows "e.g., a B+Tree or a hash table". wavekit provides both:
-// HashDirectory (unordered, O(1) lookups) and BTreeDirectory (ordered
-// iteration, range-friendly). Directory operations are never charged device
+// disk" and allows "e.g., a B+Tree or a hash table". wavekit uses a hash
+// table: every access operation looks values up by equality, so nothing
+// needs ordered iteration. Directory operations are never charged device
 // I/O.
 
 #ifndef WAVEKIT_INDEX_DIRECTORY_H_
@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <unordered_map>
 
 #include "index/codec.h"
 #include "index/entry.h"
@@ -56,50 +56,32 @@ struct BucketInfo {
   bool operator==(const BucketInfo& other) const = default;
 };
 
-/// \brief Which directory implementation an index uses.
-enum class DirectoryKind {
-  kHash,
-  kBTree,
-};
-
-const char* DirectoryKindName(DirectoryKind kind);
-
-/// \brief Abstract value -> BucketInfo map.
+/// \brief Value -> BucketInfo map, backed by std::unordered_map: O(1)
+/// expected lookup, unordered iteration.
 class Directory {
  public:
-  virtual ~Directory() = default;
-
-  virtual DirectoryKind kind() const = 0;
-
   /// Returns the bucket info for `value`, or nullptr if absent. The pointer
   /// stays valid until the next mutation of the directory.
-  virtual BucketInfo* Find(const Value& value) = 0;
-  virtual const BucketInfo* Find(const Value& value) const = 0;
+  BucketInfo* Find(const Value& value);
+  const BucketInfo* Find(const Value& value) const;
 
   /// Inserts a new mapping. Fails with AlreadyExists if present.
-  virtual Status Insert(const Value& value, const BucketInfo& info) = 0;
+  Status Insert(const Value& value, const BucketInfo& info);
 
   /// Removes a mapping. Fails with NotFound if absent.
-  virtual Status Remove(const Value& value) = 0;
+  Status Remove(const Value& value);
 
   /// Number of distinct values.
-  virtual size_t size() const = 0;
+  size_t size() const { return map_.size(); }
 
-  /// Visits every (value, bucket) pair. BTreeDirectory visits in ascending
-  /// value order; HashDirectory order is unspecified but stable between
-  /// mutations.
-  virtual void ForEach(
-      const std::function<void(const Value&, const BucketInfo&)>& fn) const = 0;
+  /// Visits every (value, bucket) pair, in an unspecified order that is
+  /// stable between mutations.
+  void ForEach(
+      const std::function<void(const Value&, const BucketInfo&)>& fn) const;
 
-  /// A fresh, empty directory of the same kind.
-  virtual std::unique_ptr<Directory> CloneEmpty() const = 0;
-
-  /// True iff ForEach visits values in sorted order.
-  virtual bool ordered() const = 0;
+ private:
+  std::unordered_map<Value, BucketInfo> map_;
 };
-
-/// Factory for the given kind.
-std::unique_ptr<Directory> MakeDirectory(DirectoryKind kind);
 
 }  // namespace wavekit
 

@@ -596,9 +596,8 @@ std::vector<TimeSet> Scheme::SplitWataWindow(int window, int num_indexes) {
 }
 
 ConstituentIndex::Options Scheme::IndexOptions() const {
-  return ConstituentIndex::Options{config_.directory, config_.growth,
-                                   config_.verify_checksums, env_.integrity,
-                                   config_.codec};
+  return ConstituentIndex::Options{config_.growth, config_.verify_checksums,
+                                   env_.integrity, config_.codec};
 }
 
 SchemeEnv::Disk Scheme::NextDisk(int placement_hint) {

@@ -59,8 +59,6 @@ struct SchemeConfig {
   int num_indexes = 1;
   /// How constituent indexes are updated incrementally (Section 2.1).
   UpdateTechniqueKind technique = UpdateTechniqueKind::kSimpleShadow;
-  /// Directory implementation for every index.
-  DirectoryKind directory = DirectoryKind::kHash;
   /// CONTIGUOUS growth parameters [FJ92].
   GrowthPolicy growth;
   /// KB-WATA only: known upper bound on the total entries of any W-day

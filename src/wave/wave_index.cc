@@ -63,6 +63,13 @@ bool CountsAsFailed(const Status& status) {
   return status.IsIOError() || status.IsDataLoss();
 }
 
+// One constituent's share of a parallel probe, filled by its pool task.
+struct ParallelSlot {
+  bool used_fallback = false;
+  Status status;
+  std::vector<Entry> entries;
+};
+
 }  // namespace
 
 void WaveIndex::AddIndex(std::shared_ptr<ConstituentIndex> index) {
@@ -174,17 +181,6 @@ Status WaveIndex::SegmentScan(const EntryCallback& callback,
   return TimedSegmentScan(DayRange::All(), callback, stats);
 }
 
-namespace {
-
-struct ParallelSlot {
-  bool accessed = false;
-  bool used_fallback = false;
-  Status status;
-  std::vector<std::pair<Value, Entry>> results;
-};
-
-}  // namespace
-
 Status WaveIndex::ParallelTimedIndexProbe(ThreadPool* pool,
                                           const DayRange& range,
                                           const Value& value,
@@ -206,14 +202,10 @@ Status WaveIndex::ParallelTimedIndexProbe(ThreadPool* pool,
       remaining.count_down();
       continue;
     }
-    slot->accessed = true;
     ++local.indexes_accessed;
     pool->Submit([constituent, slot, &range, &value, &remaining]() {
-      std::vector<Entry> entries;
-      slot->status = ProbeWithFallback(*constituent, value, range, &entries,
-                                       &slot->used_fallback);
-      slot->results.reserve(entries.size());
-      for (const Entry& e : entries) slot->results.emplace_back(Value{}, e);
+      slot->status = ProbeWithFallback(*constituent, value, range,
+                                       &slot->entries, &slot->used_fallback);
       remaining.count_down();
     });
   }
@@ -225,59 +217,8 @@ Status WaveIndex::ParallelTimedIndexProbe(ThreadPool* pool,
       continue;
     }
     WAVEKIT_RETURN_NOT_OK(slot.status);
-    for (const auto& [v, e] : slot.results) {
-      out->push_back(e);
-      ++local.entries_returned;
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return DegradedStatus(local);
-}
-
-Status WaveIndex::ParallelTimedSegmentScan(ThreadPool* pool,
-                                           const DayRange& range,
-                                           const EntryCallback& callback,
-                                           QueryStats* stats) const {
-  QueryStats local;
-  std::vector<ParallelSlot> slots(constituents_.size());
-  std::latch remaining(static_cast<ptrdiff_t>(constituents_.size()));
-  for (size_t i = 0; i < constituents_.size(); ++i) {
-    const ConstituentIndex* constituent = constituents_[i].get();
-    ParallelSlot* slot = &slots[i];
-    if (!range.Intersects(constituent->time_set())) {
-      ++local.indexes_skipped;
-      remaining.count_down();
-      continue;
-    }
-    if (!constituent->healthy()) {
-      ++local.indexes_unhealthy;
-      remaining.count_down();
-      continue;
-    }
-    slot->accessed = true;
-    ++local.indexes_accessed;
-    pool->Submit([constituent, slot, &range, &remaining]() {
-      slot->status = constituent->TimedScan(
-          range, [slot](const Value& v, const Entry& e) {
-            slot->results.emplace_back(v, e);
-          });
-      remaining.count_down();
-    });
-  }
-  remaining.wait();
-  for (const ParallelSlot& slot : slots) {
-    if (CountsAsFailed(slot.status)) {
-      // Buffered delivery means a failed constituent contributes nothing at
-      // all (unlike the serial scan, which streams) — drop it and report a
-      // partial result.
-      ++local.indexes_failed;
-      continue;
-    }
-    WAVEKIT_RETURN_NOT_OK(slot.status);
-    for (const auto& [v, e] : slot.results) {
-      callback(v, e);
-      ++local.entries_returned;
-    }
+    out->insert(out->end(), slot.entries.begin(), slot.entries.end());
+    local.entries_returned += slot.entries.size();
   }
   if (stats != nullptr) *stats = local;
   return DegradedStatus(local);

@@ -108,13 +108,6 @@ class WaveIndex {
                                  const Value& value, std::vector<Entry>* out,
                                  QueryStats* stats = nullptr) const;
 
-  /// TimedSegmentScan fanned out over `pool`; entries are delivered to
-  /// `callback` grouped by constituent (in constituent order), after all
-  /// scans complete. Same device requirements as ParallelTimedIndexProbe.
-  Status ParallelTimedSegmentScan(ThreadPool* pool, const DayRange& range,
-                                  const EntryCallback& callback,
-                                  QueryStats* stats = nullptr) const;
-
   // --- Accounting -----------------------------------------------------------
 
   /// Wave-index length: total days over all constituents (Appendix B).

@@ -13,16 +13,13 @@ using testing::MakeBatch;
 using testing::MakeMixedBatch;
 using testing::ReferenceIndex;
 
-class ConstituentIndexTest : public ::testing::TestWithParam<DirectoryKind> {
+class ConstituentIndexTest : public ::testing::Test {
  protected:
   ConstituentIndexTest() : store_(uint64_t{1} << 28) {}
 
   std::unique_ptr<ConstituentIndex> NewIndex(const std::string& name = "I") {
-    ConstituentIndex::Options options;
-    options.directory = GetParam();
-    return std::make_unique<ConstituentIndex>(store_.device(),
-                                              store_.allocator(), options,
-                                              name);
+    return std::make_unique<ConstituentIndex>(
+        store_.device(), store_.allocator(), ConstituentIndex::Options{}, name);
   }
 
   static std::vector<Entry> Sorted(std::vector<Entry> entries) {
@@ -33,7 +30,7 @@ class ConstituentIndexTest : public ::testing::TestWithParam<DirectoryKind> {
   Store store_;
 };
 
-TEST_P(ConstituentIndexTest, EmptyIndexBasics) {
+TEST_F(ConstituentIndexTest, EmptyIndexBasics) {
   auto index = NewIndex();
   EXPECT_EQ(index->entry_count(), 0u);
   EXPECT_EQ(index->allocated_bytes(), 0u);
@@ -44,7 +41,7 @@ TEST_P(ConstituentIndexTest, EmptyIndexBasics) {
   ASSERT_OK(index->CheckConsistency());
 }
 
-TEST_P(ConstituentIndexTest, AppendAndProbe) {
+TEST_F(ConstituentIndexTest, AppendAndProbe) {
   auto index = NewIndex();
   std::vector<Entry> entries = {Entry{1, 5, 0}, Entry{2, 5, 1}};
   ASSERT_OK(index->AppendEntries("word", entries));
@@ -56,7 +53,7 @@ TEST_P(ConstituentIndexTest, AppendAndProbe) {
   ASSERT_OK(index->CheckConsistency());
 }
 
-TEST_P(ConstituentIndexTest, AppendGrowsBucketContiguously) {
+TEST_F(ConstituentIndexTest, AppendGrowsBucketContiguously) {
   auto index = NewIndex();
   ReferenceIndex reference;
   for (Day d = 1; d <= 20; ++d) {
@@ -74,7 +71,7 @@ TEST_P(ConstituentIndexTest, AppendGrowsBucketContiguously) {
   EXPECT_LE(index->allocated_bytes(), 2 * index->live_bytes() + 64);
 }
 
-TEST_P(ConstituentIndexTest, TimedProbeFiltersByDay) {
+TEST_F(ConstituentIndexTest, TimedProbeFiltersByDay) {
   auto index = NewIndex();
   for (Day d = 1; d <= 10; ++d) {
     ASSERT_OK(index->AddBatch(MakeBatch(d, {"w"}, 2)));
@@ -92,7 +89,7 @@ TEST_P(ConstituentIndexTest, TimedProbeFiltersByDay) {
   EXPECT_EQ(out.size(), 20u);
 }
 
-TEST_P(ConstituentIndexTest, ScanVisitsEverything) {
+TEST_F(ConstituentIndexTest, ScanVisitsEverything) {
   auto index = NewIndex();
   ReferenceIndex reference;
   for (Day d = 1; d <= 5; ++d) {
@@ -106,7 +103,7 @@ TEST_P(ConstituentIndexTest, ScanVisitsEverything) {
   EXPECT_EQ(Sorted(scanned), reference.ScanAll(kDayNegInf, kDayPosInf));
 }
 
-TEST_P(ConstituentIndexTest, TimedScanFilters) {
+TEST_F(ConstituentIndexTest, TimedScanFilters) {
   auto index = NewIndex();
   ReferenceIndex reference;
   for (Day d = 1; d <= 8; ++d) {
@@ -121,7 +118,7 @@ TEST_P(ConstituentIndexTest, TimedScanFilters) {
   EXPECT_EQ(Sorted(scanned), reference.ScanAll(4, 6));
 }
 
-TEST_P(ConstituentIndexTest, DeleteDaysRemovesAndShrinks) {
+TEST_F(ConstituentIndexTest, DeleteDaysRemovesAndShrinks) {
   auto index = NewIndex();
   ReferenceIndex reference;
   for (Day d = 1; d <= 12; ++d) {
@@ -145,7 +142,7 @@ TEST_P(ConstituentIndexTest, DeleteDaysRemovesAndShrinks) {
   EXPECT_LT(index->allocated_bytes(), before_bytes);
 }
 
-TEST_P(ConstituentIndexTest, DeleteEverythingEmptiesIndex) {
+TEST_F(ConstituentIndexTest, DeleteEverythingEmptiesIndex) {
   auto index = NewIndex();
   ASSERT_OK(index->AddBatch(MakeMixedBatch(1)));
   ASSERT_OK(index->AddBatch(MakeMixedBatch(2)));
@@ -156,7 +153,7 @@ TEST_P(ConstituentIndexTest, DeleteEverythingEmptiesIndex) {
   ASSERT_OK(index->CheckConsistency());
 }
 
-TEST_P(ConstituentIndexTest, DeleteNoMatchIsNoOp) {
+TEST_F(ConstituentIndexTest, DeleteNoMatchIsNoOp) {
   auto index = NewIndex();
   ASSERT_OK(index->AddBatch(MakeMixedBatch(5)));
   const uint64_t entries = index->entry_count();
@@ -165,7 +162,7 @@ TEST_P(ConstituentIndexTest, DeleteNoMatchIsNoOp) {
   ASSERT_OK(index->CheckConsistency());
 }
 
-TEST_P(ConstituentIndexTest, CloneIsDeepAndEquivalent) {
+TEST_F(ConstituentIndexTest, CloneIsDeepAndEquivalent) {
   auto index = NewIndex("orig");
   ReferenceIndex reference;
   for (Day d = 1; d <= 6; ++d) {
@@ -186,7 +183,7 @@ TEST_P(ConstituentIndexTest, CloneIsDeepAndEquivalent) {
   EXPECT_EQ(Sorted(out), reference.Probe("alpha", kDayNegInf, kDayPosInf));
 }
 
-TEST_P(ConstituentIndexTest, DestroyReclaimsAllSpace) {
+TEST_F(ConstituentIndexTest, DestroyReclaimsAllSpace) {
   auto index = NewIndex();
   const uint64_t free_before = store_.allocator()->free_bytes();
   for (Day d = 1; d <= 5; ++d) ASSERT_OK(index->AddBatch(MakeMixedBatch(d)));
@@ -198,7 +195,7 @@ TEST_P(ConstituentIndexTest, DestroyReclaimsAllSpace) {
   ASSERT_OK(index->Destroy());
 }
 
-TEST_P(ConstituentIndexTest, DestructorReclaimsSpace) {
+TEST_F(ConstituentIndexTest, DestructorReclaimsSpace) {
   const uint64_t free_before = store_.allocator()->free_bytes();
   {
     auto index = NewIndex();
@@ -208,13 +205,13 @@ TEST_P(ConstituentIndexTest, DestructorReclaimsSpace) {
   EXPECT_EQ(store_.allocator()->free_bytes(), free_before);
 }
 
-TEST_P(ConstituentIndexTest, IncrementalIndexIsNotPacked) {
+TEST_F(ConstituentIndexTest, IncrementalIndexIsNotPacked) {
   auto index = NewIndex();
   ASSERT_OK(index->AddBatch(MakeMixedBatch(1)));
   EXPECT_FALSE(index->packed());
 }
 
-TEST_P(ConstituentIndexTest, AuxPayloadRoundTrips) {
+TEST_F(ConstituentIndexTest, AuxPayloadRoundTrips) {
   auto index = NewIndex();
   DayBatch batch;
   batch.day = 1;
@@ -230,13 +227,6 @@ TEST_P(ConstituentIndexTest, AuxPayloadRoundTrips) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].aux, 777u);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllDirectories, ConstituentIndexTest,
-                         ::testing::Values(DirectoryKind::kHash,
-                                           DirectoryKind::kBTree),
-                         [](const auto& info) {
-                           return DirectoryKindName(info.param);
-                         });
 
 }  // namespace
 }  // namespace wavekit

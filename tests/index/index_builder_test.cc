@@ -10,20 +10,16 @@ namespace {
 using testing::MakeMixedBatch;
 using testing::ReferenceIndex;
 
-class IndexBuilderTest : public ::testing::TestWithParam<DirectoryKind> {
+class IndexBuilderTest : public ::testing::Test {
  protected:
   IndexBuilderTest() : store_(uint64_t{1} << 28) {}
 
-  ConstituentIndex::Options Options() {
-    ConstituentIndex::Options options;
-    options.directory = GetParam();
-    return options;
-  }
+  ConstituentIndex::Options Options() { return {}; }
 
   Store store_;
 };
 
-TEST_P(IndexBuilderTest, BuildsPackedIndex) {
+TEST_F(IndexBuilderTest, BuildsPackedIndex) {
   std::vector<DayBatch> batches;
   ReferenceIndex reference;
   for (Day d = 1; d <= 5; ++d) {
@@ -50,7 +46,7 @@ TEST_P(IndexBuilderTest, BuildsPackedIndex) {
   EXPECT_EQ(scanned, reference.ScanAll(kDayNegInf, kDayPosInf));
 }
 
-TEST_P(IndexBuilderTest, SingleDayOverload) {
+TEST_F(IndexBuilderTest, SingleDayOverload) {
   DayBatch batch = MakeMixedBatch(7);
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<ConstituentIndex> index,
@@ -60,7 +56,7 @@ TEST_P(IndexBuilderTest, SingleDayOverload) {
   EXPECT_EQ(index->entry_count(), batch.EntryCount());
 }
 
-TEST_P(IndexBuilderTest, EmptyBatchYieldsEmptyPackedIndex) {
+TEST_F(IndexBuilderTest, EmptyBatchYieldsEmptyPackedIndex) {
   DayBatch batch;
   batch.day = 1;
   ASSERT_OK_AND_ASSIGN(
@@ -72,7 +68,7 @@ TEST_P(IndexBuilderTest, EmptyBatchYieldsEmptyPackedIndex) {
   ASSERT_OK(index->CheckPacked());
 }
 
-TEST_P(IndexBuilderTest, BucketsLaidOutInSortedValueOrder) {
+TEST_F(IndexBuilderTest, BucketsLaidOutInSortedValueOrder) {
   DayBatch batch = MakeMixedBatch(1);
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<ConstituentIndex> index,
@@ -82,7 +78,7 @@ TEST_P(IndexBuilderTest, BucketsLaidOutInSortedValueOrder) {
   for (size_t i = 1; i < order.size(); ++i) EXPECT_LT(order[i - 1], order[i]);
 }
 
-TEST_P(IndexBuilderTest, BuildIsSequentialOnDevice) {
+TEST_F(IndexBuilderTest, BuildIsSequentialOnDevice) {
   // A packed build writes one contiguous region: exactly one data seek
   // (possibly a couple from allocator bookkeeping-free paths, so allow 2).
   DayBatch batch = MakeMixedBatch(1, /*num_records=*/50);
@@ -97,7 +93,7 @@ TEST_P(IndexBuilderTest, BuildIsSequentialOnDevice) {
             batch.EntryCount() * kEntrySize);
 }
 
-TEST_P(IndexBuilderTest, PackedScanIsSequentialOnDevice) {
+TEST_F(IndexBuilderTest, PackedScanIsSequentialOnDevice) {
   DayBatch batch = MakeMixedBatch(1, /*num_records=*/60);
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<ConstituentIndex> index,
@@ -110,13 +106,6 @@ TEST_P(IndexBuilderTest, PackedScanIsSequentialOnDevice) {
   EXPECT_LE(store_.device()->total().seeks, 2u)
       << "a packed SegmentScan should be one sequential sweep";
 }
-
-INSTANTIATE_TEST_SUITE_P(AllDirectories, IndexBuilderTest,
-                         ::testing::Values(DirectoryKind::kHash,
-                                           DirectoryKind::kBTree),
-                         [](const auto& info) {
-                           return DirectoryKindName(info.param);
-                         });
 
 }  // namespace
 }  // namespace wavekit

@@ -96,6 +96,58 @@ TEST_F(ShardedCachedDeviceTest, EvictionIsPerShardLru) {
   EXPECT_EQ(cached_.stats().misses, misses_before + 1);
 }
 
+TEST_F(ShardedCachedDeviceTest, ReadsSpanningBlocks) {
+  std::string long_data(200, 'x');
+  for (size_t i = 0; i < long_data.size(); ++i) {
+    long_data[i] = static_cast<char>('a' + i % 26);
+  }
+  ASSERT_OK(cached_.Write(30, Bytes(long_data)));
+  std::vector<std::byte> out(200);
+  ASSERT_OK(cached_.Read(30, out));
+  EXPECT_EQ(AsString(out), long_data);
+}
+
+// One shard: a single LRU over the whole capacity.
+class ShardedCachedDeviceOneShardTest : public ::testing::Test {
+ protected:
+  ShardedCachedDeviceOneShardTest()
+      : memory_(1 << 20),
+        cached_(&memory_, /*capacity_blocks=*/4, /*block_size=*/64,
+                /*num_shards=*/1) {}
+
+  MemoryDevice memory_;
+  ShardedCachedDevice cached_;
+};
+
+TEST_F(ShardedCachedDeviceOneShardTest, LruEviction) {
+  std::vector<std::byte> buf(1);
+  // Touch 5 distinct blocks with a 4-block cache: one eviction.
+  for (uint64_t b = 0; b < 5; ++b) {
+    ASSERT_OK(cached_.Read(b * 64, buf));
+  }
+  EXPECT_EQ(cached_.stats().evictions, 1u);
+  EXPECT_EQ(cached_.cached_blocks(), 4u);
+  // Block 0 (LRU) was evicted: re-reading it misses; block 4 still hits.
+  const uint64_t misses_before = cached_.stats().misses;
+  ASSERT_OK(cached_.Read(4 * 64, buf));
+  EXPECT_EQ(cached_.stats().misses, misses_before);
+  ASSERT_OK(cached_.Read(0, buf));
+  EXPECT_EQ(cached_.stats().misses, misses_before + 1);
+}
+
+TEST_F(ShardedCachedDeviceOneShardTest, LruOrderUpdatedOnHit) {
+  std::vector<std::byte> buf(1);
+  for (uint64_t b = 0; b < 4; ++b) ASSERT_OK(cached_.Read(b * 64, buf));
+  // Touch block 0 so block 1 becomes LRU, then overflow.
+  ASSERT_OK(cached_.Read(0, buf));
+  ASSERT_OK(cached_.Read(4 * 64, buf));  // evicts block 1
+  const uint64_t misses_before = cached_.stats().misses;
+  ASSERT_OK(cached_.Read(0, buf));  // still cached
+  EXPECT_EQ(cached_.stats().misses, misses_before);
+  ASSERT_OK(cached_.Read(1 * 64, buf));  // was evicted
+  EXPECT_EQ(cached_.stats().misses, misses_before + 1);
+}
+
 TEST_F(ShardedCachedDeviceTest, WriteThroughUpdatesCachedBlocks) {
   ASSERT_OK(cached_.Write(0, Bytes("aaaa")));
   std::vector<std::byte> out(4);

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "storage/cached_device.h"
 #include "storage/device.h"
 #include "storage/fault_injecting_device.h"
 #include "storage/file_device.h"
@@ -170,38 +169,6 @@ TEST(WriteBatchTest, SynchronizedMeterIsExactUnderConcurrentBatches) {
   const IoCounters io = device.counters(Phase::kTransition);
   EXPECT_EQ(io.write_ops, static_cast<uint64_t>(kThreads) * kBatches * 2);
   EXPECT_EQ(io.bytes_written, static_cast<uint64_t>(kThreads) * kBatches * 64);
-}
-
-TEST(WriteBatchTest, CachedDevicePatchesCachedBlocksInPlace) {
-  MemoryDevice memory(1 << 16);
-  CachedDevice cache(&memory, /*capacity_blocks=*/8, /*block_size=*/64);
-  ASSERT_OK(memory.Write(0, Bytes("old-data")));
-  // Warm the block, then batch-write through the cache.
-  EXPECT_EQ(ReadString(cache, 0, 8), "old-data");
-  const std::vector<Extent> extents = {{0, 3}, {64, 3}};
-  ASSERT_OK(cache.WriteBatch(extents, Bytes("newxyz")));
-  cache.ResetStats();
-  // The warmed block serves the new bytes from cache (a hit, not a reload).
-  EXPECT_EQ(ReadString(cache, 0, 8), "new-data");
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // And the device itself has the new bytes too.
-  EXPECT_EQ(ReadString(memory, 64, 3), "xyz");
-}
-
-TEST(WriteBatchTest, CachedDeviceEvictsTouchedBlocksWhenBatchFails) {
-  MemoryDevice memory(1 << 16);
-  FaultInjectingDevice faulty(&memory);
-  CachedDevice cache(&faulty, /*capacity_blocks=*/8, /*block_size=*/64);
-  ASSERT_OK(memory.Write(0, Bytes("original")));
-  EXPECT_EQ(ReadString(cache, 0, 8), "original");  // warm
-  // Second extent hits a bad range: the batch fails partway; every touched
-  // block must be dropped so the cache re-reads device truth.
-  faulty.AddBadRange(Extent{128, 64});
-  const std::vector<Extent> extents = {{0, 4}, {128, 4}};
-  EXPECT_FALSE(cache.WriteBatch(extents, Bytes("abcdwxyz")).ok());
-  faulty.ClearBadRanges();
-  EXPECT_EQ(ReadString(cache, 0, 8), "abcdinal");  // device truth, reloaded
-  EXPECT_EQ(cache.cached_blocks(), 1u);
 }
 
 TEST(WriteBatchTest, ShardedCachePatchesAndEvictsLikeTheLruCache) {

@@ -178,12 +178,7 @@ class StoreTest : public ::testing::Test {
     return SchemeEnv{store_.device(), store_.allocator(), &day_store_};
   }
 
-  ConstituentIndex::Options Options(
-      DirectoryKind kind = DirectoryKind::kHash) {
-    ConstituentIndex::Options options;
-    options.directory = kind;
-    return options;
-  }
+  ConstituentIndex::Options Options() { return {}; }
 
   Store store_;
   DayStore day_store_;

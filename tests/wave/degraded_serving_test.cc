@@ -95,23 +95,12 @@ TEST_F(DegradedServingTest, ParallelQueriesAlsoExcludeUnhealthy) {
 
   std::vector<Entry> out;
   QueryStats stats;
-  Status status = wave_.ParallelTimedIndexProbe(&pool, DayRange::All(),
-                                                "beta", &out, &stats);
+  const Status status = wave_.ParallelTimedIndexProbe(
+      &pool, DayRange::All(), "beta", &out, &stats);
   ASSERT_TRUE(status.IsPartialResult()) << status;
   EXPECT_EQ(stats.indexes_unhealthy, 1);
   ReferenceIndex::Sort(&out);
   EXPECT_EQ(out, late_reference_.Probe("beta", kDayNegInf, kDayPosInf));
-
-  std::vector<Entry> scanned;
-  QueryStats scan_stats;
-  status = wave_.ParallelTimedSegmentScan(
-      &pool, DayRange::All(),
-      [&](const Value&, const Entry& e) { scanned.push_back(e); },
-      &scan_stats);
-  ASSERT_TRUE(status.IsPartialResult()) << status;
-  EXPECT_EQ(scan_stats.indexes_unhealthy, 1);
-  ReferenceIndex::Sort(&scanned);
-  EXPECT_EQ(scanned, late_reference_.ScanAll(kDayNegInf, kDayPosInf));
 }
 
 TEST_F(DegradedServingTest, ProbeFallsBackToScanUnderFlakyReads) {

@@ -1,5 +1,5 @@
-// Parallel query fan-out: results must equal the serial operations exactly,
-// on a synchronized single device and on a multi-disk array.
+// Parallel probe fan-out: results must equal the serial probe exactly, on a
+// synchronized single device and on a multi-disk array.
 
 #include <gtest/gtest.h>
 
@@ -54,18 +54,6 @@ TEST_F(ParallelQueryTest, ParallelProbeEqualsSerialProbe) {
       EXPECT_EQ(parallel_stats.entries_returned, serial_stats.entries_returned);
     }
   }
-}
-
-TEST_F(ParallelQueryTest, ParallelScanEqualsSerialScan) {
-  BuildOnDisks(6, 2);
-  std::vector<Entry> serial, parallel;
-  ASSERT_OK(wave_.TimedSegmentScan(
-      DayRange{2, 5},
-      [&](const Value&, const Entry& e) { serial.push_back(e); }));
-  ASSERT_OK(wave_.ParallelTimedSegmentScan(
-      &pool_, DayRange{2, 5},
-      [&](const Value&, const Entry& e) { parallel.push_back(e); }));
-  EXPECT_EQ(parallel, serial);
 }
 
 TEST_F(ParallelQueryTest, WorksOnOneSynchronizedDevice) {

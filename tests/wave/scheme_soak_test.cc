@@ -1,6 +1,6 @@
 // Soak tests: long runs with randomly varying daily volumes (the extended
 // paper's non-uniform data-size regime), random query spot checks against a
-// brute-force reference, and the B+Tree directory under every scheme.
+// brute-force reference, for every scheme under both shadow techniques.
 
 #include <gtest/gtest.h>
 
@@ -34,12 +34,12 @@ DayBatch VaryingBatch(Day day, Rng& rng) {
   return batch;
 }
 
-using SoakParam = std::tuple<SchemeKind, UpdateTechniqueKind, DirectoryKind>;
+using SoakParam = std::tuple<SchemeKind, UpdateTechniqueKind>;
 
 class SchemeSoakTest : public ::testing::TestWithParam<SoakParam> {};
 
 TEST_P(SchemeSoakTest, LongRunWithVaryingVolumes) {
-  const auto [kind, technique, directory] = GetParam();
+  const auto [kind, technique] = GetParam();
   const int window = 9;
   const int n = 3;
   Store store(uint64_t{1} << 26);
@@ -48,7 +48,6 @@ TEST_P(SchemeSoakTest, LongRunWithVaryingVolumes) {
   config.window = window;
   config.num_indexes = n;
   config.technique = technique;
-  config.directory = directory;
   if (kind == SchemeKind::kKnownBoundWata) {
     config.size_bound_entries = 18 * 3 * window;  // generous true bound
   }
@@ -143,37 +142,21 @@ std::string SoakName(const ::testing::TestParamInfo<SoakParam>& info) {
   std::string name = SchemeKindName(std::get<0>(info.param));
   name += "_";
   name += UpdateTechniqueKindName(std::get<1>(info.param));
-  name += "_";
-  name += DirectoryKindName(std::get<2>(info.param));
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   return name;
 }
 
-// Hash directory: every scheme under both shadow techniques.
 INSTANTIATE_TEST_SUITE_P(
-    HashDirectory, SchemeSoakTest,
+    AllSchemes, SchemeSoakTest,
     ::testing::Combine(
         ::testing::Values(SchemeKind::kDel, SchemeKind::kReindex,
                           SchemeKind::kReindexPlus,
                           SchemeKind::kReindexPlusPlus, SchemeKind::kWata,
                           SchemeKind::kRata, SchemeKind::kKnownBoundWata),
         ::testing::Values(UpdateTechniqueKind::kSimpleShadow,
-                          UpdateTechniqueKind::kPackedShadow),
-        ::testing::Values(DirectoryKind::kHash)),
-    SoakName);
-
-// B+Tree directory: every scheme (the ordered directory must be a drop-in).
-INSTANTIATE_TEST_SUITE_P(
-    BTreeDirectory, SchemeSoakTest,
-    ::testing::Combine(
-        ::testing::Values(SchemeKind::kDel, SchemeKind::kReindex,
-                          SchemeKind::kReindexPlus,
-                          SchemeKind::kReindexPlusPlus, SchemeKind::kWata,
-                          SchemeKind::kRata, SchemeKind::kKnownBoundWata),
-        ::testing::Values(UpdateTechniqueKind::kSimpleShadow),
-        ::testing::Values(DirectoryKind::kBTree)),
+                          UpdateTechniqueKind::kPackedShadow)),
     SoakName);
 
 }  // namespace
